@@ -909,24 +909,8 @@ let b10_pdb_scale ~quick ~domains () =
   (* cold index load: file on disk -> fully indexed Ductape value *)
   let t_index_a = best wall_once (fun () -> ignore (D.of_file apath)) in
   let t_index_b = best wall_once (fun () -> ignore (D.of_file bpath)) in
-  (* the mmap view: file on disk -> validated, queryable id index, records
-     and strings decoded only on demand.  Measured bare (open only) and
-     with a first real query: resolve main and decode its callees. *)
+  (* the mmap view's first step: file on disk -> mapped and validated *)
   let t_view = best wall_once (fun () -> ignore (Pdt_pdb.Pdb_bin.View.of_file bpath)) in
-  let t_view_query =
-    best wall_once (fun () ->
-        let v = Pdt_pdb.Pdb_bin.View.of_file bpath in
-        match Pdt_pdb.Pdb_bin.View.find_routine v "main" with
-        | None -> failwith "b10: merged corpus has no main routine"
-        | Some r ->
-            List.iter
-              (fun (c : P.call) ->
-                ignore (Pdt_pdb.Pdb_bin.View.routine_by_id v c.P.c_callee))
-              r.P.ro_calls)
-  in
-  (* ASCII cold load of the same file, for the headline ratio *)
-  let t_parse_file_a = best wall_once (fun () -> ignore (Pdt_pdb.Pdb_parse.of_file apath)) in
-  let cold_load_speedup = t_parse_file_a /. t_view_query in
   (* merge-from-disk curve: load every unit PDB of one container and merge
      at each requested domain count; counts beyond the host's cores are
      recorded as skipped, never run oversubscribed *)
@@ -964,11 +948,8 @@ let b10_pdb_scale ~quick ~domains () =
   in
   row "parse (bytes -> Pdb.t)" t_parse_a t_parse_b;
   row "cold index load (file -> Ductape)" t_index_a t_index_b;
-  Printf.printf "%-34s %14s %14.0f\n" "mmap view open (file -> queryable)" "-"
+  Printf.printf "%-34s %14s %14.0f\n" "mmap + validate (file -> View.t)" "-"
     (ns t_view);
-  Printf.printf "%-34s %14.0f %14.0f %7.1fx  <- headline\n"
-    "cold query (parse vs view+query)" (ns t_parse_file_a) (ns t_view_query)
-    cold_load_speedup;
   Printf.printf "\nmerge from disk (%d unit PDBs):\n" (List.length units);
   List.iter
     (fun (d, t) ->
@@ -1007,17 +988,14 @@ let b10_pdb_scale ~quick ~domains () =
     \              \"merged_items\": %d, \"ascii_bytes\": %d, \"binary_bytes\": %d },\n\
     \  \"parse\": { \"ascii_ns\": %.0f, \"binary_ns\": %.0f, \"speedup\": %.2f },\n\
     \  \"cold_index\": { \"ascii_ns\": %.0f, \"binary_ns\": %.0f, \"speedup\": %.2f },\n\
-    \  \"mmap_view\": { \"open_ns\": %.0f, \"open_query_ns\": %.0f,\n\
-    \                 \"ascii_parse_ns\": %.0f },\n\
-    \  \"cold_load_speedup\": %.2f,\n\
+    \  \"mmap_view\": { \"open_ns\": %.0f },\n\
     \  \"merge\": [\n%s\n  ]\n\
      }\n"
     quick cores (List.length files) replicas (List.length units)
     (Pdt_pdb.Pdb.item_count merged) (String.length ascii) (String.length bin)
     (ns t_parse_a) (ns t_parse_b) (t_parse_a /. t_parse_b)
     (ns t_index_a) (ns t_index_b) (t_index_a /. t_index_b)
-    (ns t_view) (ns t_view_query) (ns t_parse_file_a)
-    cold_load_speedup
+    (ns t_view)
     curve_json;
   close_out oc;
   print_endline "wrote BENCH_pdb_scale.json"

@@ -245,7 +245,6 @@ let find_class t id = List.find_opt (fun x -> x.cl_id = id) t.classes
 let find_routine t id = List.find_opt (fun x -> x.ro_id = id) t.routines
 let find_template t id = List.find_opt (fun x -> x.te_id = id) t.templates
 let find_namespace t id = List.find_opt (fun x -> x.na_id = id) t.namespaces
-let find_macro t id = List.find_opt (fun x -> x.ma_id = id) t.pdb_macros
 
 (** Total number of items, of any kind. *)
 let item_count t =

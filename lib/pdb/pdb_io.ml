@@ -13,11 +13,6 @@ type format = Ascii | Binary
 
 let format_name = function Ascii -> "ascii" | Binary -> "binary"
 
-let format_of_string = function
-  | "ascii" -> Some Ascii
-  | "binary" -> Some Binary
-  | _ -> None
-
 let sniff_string (s : string) : format =
   if Pdb_bin.is_binary_string s then Binary else Ascii
 
@@ -39,8 +34,3 @@ let to_string (fmt : format) (t : Pdb.t) : string =
   match fmt with
   | Ascii -> Pdb_write.to_string t
   | Binary -> Pdb_bin.to_string t
-
-let to_file (fmt : format) (t : Pdb.t) (path : string) : unit =
-  match fmt with
-  | Ascii -> Pdb_write.to_file t path
-  | Binary -> Pdb_bin.to_file t path

@@ -230,7 +230,7 @@ let do_info (s : Snapshot.snap) =
   let pdb = D.pdb s.dt in
   [ ("label", J.Str s.label);
     ("format", J.Str s.format);
-    ("mmap", J.Bool s.mmap);
+    ("mmap", J.Bool (s.format = "binary"));
     ("version", J.Str pdb.P.version);
     ("incomplete", J.Bool pdb.P.incomplete);
     ("diags", num pdb.P.diag_count);

@@ -51,7 +51,6 @@ type snap = {
   dt : D.t;
   label : string;     (** what to call the database in replies *)
   format : string;    (** "ascii" | "binary" | "project" | "memory" *)
-  mmap : bool;        (** binary container loaded through Pdb_bin.View *)
 }
 
 type t = {
@@ -71,27 +70,17 @@ let load_gen (source : source) (gen : int) : snap * reload_stats =
   @@ fun () ->
   match source with
   | Pdb_file path ->
-      let fmt = Pdt_pdb.Pdb_io.sniff_file path in
-      let pdb, mmap =
-        match fmt with
-        | Pdt_pdb.Pdb_io.Binary ->
-            (* zero-copy open: mmap + validate + id index, then decode
-               into the navigable model the query verbs need *)
-            (Pdt_pdb.Pdb_bin.View.to_pdb (Pdt_pdb.Pdb_bin.View.of_file path), true)
-        | Pdt_pdb.Pdb_io.Ascii -> (Pdt_pdb.Pdb_parse.of_file path, false)
-      in
-      ( { gen; dt = D.index pdb; label = path;
-          format = Pdt_pdb.Pdb_io.format_name fmt; mmap },
-        no_stats )
+      let format = Pdt_pdb.Pdb_io.(format_name (sniff_file path)) in
+      ({ gen; dt = D.index (Pdt_pdb.Pdb_io.of_file path); label = path; format },
+       no_stats)
   | Project { vfs; sources; options } ->
       let r = I.build ~options ~vfs sources in
       ( { gen; dt = D.index r.I.merged;
           label = Printf.sprintf "project (%d units)" (List.length sources);
-          format = "project"; mmap = false },
+          format = "project" },
         { reanalyzed = r.I.reanalyzed; reused = r.I.reused } )
   | In_memory { label; produce } ->
-      ({ gen; dt = D.index (produce gen); label; format = "memory"; mmap = false },
-       no_stats)
+      ({ gen; dt = D.index (produce gen); label; format = "memory" }, no_stats)
 
 let load (source : source) : t =
   let snap, _ = load_gen source 1 in

@@ -52,14 +52,14 @@ let hash_sub (src : string) pos len =
   done;
   !h land max_int
 
+(* top-level recursion: a local [go] would allocate a closure per call *)
+let rec eq_from (src : string) pos (canonical : string) i =
+  i >= String.length canonical
+  || (String.unsafe_get canonical i = String.unsafe_get src (pos + i)
+      && eq_from src pos canonical (i + 1))
+
 let eq_sub (src : string) pos len (canonical : string) =
-  String.length canonical = len
-  && (let rec go i =
-        i >= len
-        || (String.unsafe_get canonical i = String.unsafe_get src (pos + i)
-            && go (i + 1))
-      in
-      go 0)
+  String.length canonical = len && eq_from src pos canonical 0
 
 let rec find_sub bucket src pos len =
   match bucket with

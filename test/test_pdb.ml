@@ -7,6 +7,7 @@ module P = Pdt_pdb.Pdb
 module W = Pdt_pdb.Pdb_write
 module R = Pdt_pdb.Pdb_parse
 module Ref = Pdt_pdb.Pdb_parse_ref
+module B = Pdt_pdb.Pdb_bin
 
 let roundtrip pdb =
   let s = W.to_string pdb in
@@ -93,53 +94,219 @@ let gen_loc nfiles =
           (fun f l c -> { P.lfile = f; lline = l; lcol = c })
           (int_range 1 (max 1 nfiles)) (int_range 1 500) (int_range 1 120) ])
 
+(* The random PDB generator covers every item kind and every attribute,
+   within what the ASCII format can hold.  Excluded, because the ASCII
+   form cannot tell them apart from something else:
+   - a builtin type named like a type kind (a builtin writes its name as
+     its [ykind], so a builtin named [ptr] reads back as a pointer);
+   - a null location (file 0) with a nonzero line or column, which the
+     writer prints as [NULL 0 0];
+   - a diagnostic count without the [incomplete] header, which is not
+     written;
+   - text ending in white space, or names and values with a newline or
+     leading or trailing white space (lines are trimmed), and a base
+     access or enum constant name containing a space (those values are
+     split on spaces).
+   Numbers stay inside PDB-B's signed 32-bit range, so the same PDBs
+   also exercise the binary container. *)
+let ty_kind_words = [ "ptr"; "ref"; "tref"; "array"; "func"; "enum"; "tparam"; "error" ]
+
 let gen_pdb : P.t QCheck.Gen.t =
   QCheck.Gen.(
     let* nfiles = int_range 1 4 in
-    let* ntypes = int_range 1 6 in
+    let* ntypes = int_range 1 9 in
     let* nclasses = int_range 0 4 in
     let* nroutines = int_range 0 5 in
-    let* file_names = list_repeat nfiles gen_name in
-    let files =
-      List.mapi (fun i n -> { P.so_id = i + 1; so_name = n ^ ".h"; so_includes = [] }) file_names
+    let* nnamespaces = int_range 0 3 in
+    let* ntemplates = int_range 0 3 in
+    let* nmacros = int_range 0 3 in
+    let loc = gen_loc nfiles in
+    let extent =
+      map (fun (a, b, c, d) -> { P.hstart = a; hstop = b; bstart = c; bstop = d })
+        (quad loc loc loc loc)
     in
-    let* type_names = list_repeat ntypes gen_name in
+    let id n = int_range 1 (max 1 n) in
+    let typeref =
+      oneof [ map (fun i -> P.Tyref i) (id ntypes); map (fun i -> P.Clref i) (id nclasses) ]
+    in
+    let parent =
+      oneof
+        [ return P.Pnone; map (fun i -> P.Pcl i) (id nclasses);
+          map (fun i -> P.Pna i) (id nnamespaces) ]
+    in
+    let acs = oneofl [ "NA"; "pub"; "prot"; "priv" ] in
+    let text =
+      map
+        (fun lines -> String.concat "\n" lines)
+        (list_size (int_range 0 4)
+           (map (String.concat " ") (list_size (int_range 1 3) gen_name)))
+    in
+    let small g = list_size (int_range 0 3) g in
+    let* files =
+      list_repeat nfiles
+        (map2 (fun n incs -> (n, incs)) gen_name (small (id nfiles)))
+    in
+    let files =
+      List.mapi
+        (fun i (n, incs) -> { P.so_id = i + 1; so_name = n ^ ".h"; so_includes = incs })
+        files
+    in
+    let itemref =
+      oneof
+        [ map (fun i -> P.Rso i) (id nfiles); map (fun i -> P.Rro i) (id nroutines);
+          map (fun i -> P.Rcl i) (id nclasses); map (fun i -> P.Rty i) (id ntypes);
+          map (fun i -> P.Rte i) (id ntemplates); map (fun i -> P.Rna i) (id nnamespaces);
+          map (fun i -> P.Rma i) (id nmacros) ]
+    in
+    let* namespaces =
+      list_repeat nnamespaces
+        (quad gen_name (pair loc parent) (small itemref) (opt gen_name))
+    in
+    let namespaces =
+      List.mapi
+        (fun i (n, (l, p), mems, alias) ->
+          { P.na_id = i + 1; na_name = n; na_loc = l; na_parent = p;
+            na_members = mems; na_alias = alias })
+        namespaces
+    in
+    let* templates =
+      list_repeat ntemplates
+        (quad (pair gen_name loc) (pair parent acs)
+           (oneofl [ "class"; "func"; "memfunc"; "statmem"; "memclass" ])
+           (pair text extent))
+    in
+    let templates =
+      List.mapi
+        (fun i ((n, l), (p, a), k, (tx, pos)) ->
+          { P.te_id = i + 1; te_name = n; te_loc = l; te_parent = p; te_acs = a;
+            te_kind = k; te_text = tx; te_pos = pos })
+        templates
+    in
+    let ty_info =
+      oneof
+        [ map (fun k -> P.Ybuiltin { yikind = k }) (oneofl [ "int"; "char"; "NA" ]);
+          map (fun r -> P.Yptr r) typeref;
+          map (fun r -> P.Yref r) typeref;
+          map3 (fun target yconst yvolatile -> P.Ytref { target; yconst; yvolatile })
+            typeref bool bool;
+          map2 (fun elem size -> P.Yarray { elem; size }) typeref
+            (opt (int_range (-5) 100000));
+          map
+            (fun (rett, args, (ellipsis, cqual), exceptions) ->
+              P.Yfunc { rett; args; ellipsis; cqual; exceptions })
+            (quad typeref (small (pair typeref bool)) (pair bool bool)
+               (opt (small typeref)));
+          map (fun constants -> P.Yenum { constants })
+            (small
+               (pair gen_name
+                  (map2 (fun neg v -> if neg then Int64.neg v else v) bool ui64)));
+          return P.Ytparam;
+          return P.Yerror ]
+    in
+    let* types =
+      list_repeat ntypes
+        (quad gen_name (pair loc parent) (pair acs ty_info) (small gen_name))
+    in
     let types =
       List.mapi
-        (fun i n ->
-          { P.ty_id = i + 1; ty_name = n; ty_loc = P.null_loc; ty_parent = P.Pnone;
-            ty_acs = "NA"; ty_info = P.Ybuiltin { yikind = "int" }; ty_names = [] })
-        type_names
+        (fun i (n, (l, p), (a, info), names) ->
+          let n =
+            match info with
+            | P.Ybuiltin _ when List.mem n ty_kind_words -> n ^ "_"
+            | _ -> n
+          in
+          { P.ty_id = i + 1; ty_name = n; ty_loc = l; ty_parent = p; ty_acs = a;
+            ty_info = info; ty_names = names })
+        types
     in
-    let* class_names = list_repeat nclasses gen_name in
-    let* class_locs = list_repeat nclasses (gen_loc nfiles) in
+    let member =
+      map
+        (fun ((n, l), (a, k), t, (st, mu)) ->
+          { P.m_name = n; m_loc = l; m_acs = a; m_kind = k; m_type = t;
+            m_static = st; m_mutable = mu })
+        (quad (pair gen_name loc) (pair acs (oneofl [ "var"; "statvar" ])) typeref
+           (pair bool bool))
+    in
+    let* classes =
+      list_repeat nclasses
+        (quad
+           (triple gen_name loc (oneofl [ "class"; "struct"; "union" ]))
+           (quad parent acs (opt (id ntemplates)) (opt (id ntemplates)))
+           (triple
+              (small (triple acs bool (id nclasses)))
+              (small
+                 (oneof
+                    [ map (fun i -> `Cl i) (id nclasses);
+                      map (fun i -> `Ro i) (id nroutines) ]))
+              (small (pair (id nroutines) loc)))
+           (pair (small member) extent))
+    in
     let classes =
       List.mapi
-        (fun i (n, l) ->
-          { P.cl_id = i + 1; cl_name = n; cl_loc = l; cl_kind = "class";
-            cl_parent = P.Pnone; cl_acs = "NA"; cl_templ = None; cl_stempl = None;
-            cl_bases = []; cl_friends = []; cl_funcs = []; cl_members = [];
-            cl_pos = P.null_extent })
-        (List.combine class_names class_locs)
+        (fun i ((n, l, k), (p, a, templ, stempl), (bases, friends, funcs), (ms, pos)) ->
+          { P.cl_id = i + 1; cl_name = n; cl_loc = l; cl_kind = k; cl_parent = p;
+            cl_acs = a; cl_templ = templ; cl_stempl = stempl; cl_bases = bases;
+            cl_friends = friends; cl_funcs = funcs; cl_members = ms; cl_pos = pos })
+        classes
     in
-    let* routine_specs =
-      list_repeat nroutines (pair gen_name (gen_loc nfiles))
+    let call =
+      map3 (fun c v l -> { P.c_callee = c; c_virt = v; c_loc = l }) (id nroutines) bool loc
+    in
+    let spawn =
+      map3 (fun c l j -> { P.sp_callee = c; sp_loc = l; sp_join = j })
+        (id nroutines) loc (opt loc)
+    in
+    let du_var =
+      map3
+        (fun n defs uses -> { P.v_name = n; v_defs = defs; v_uses = uses })
+        gen_name (small loc)
+        (small
+           (map3 (fun l r u -> { P.u_loc = l; u_reach = r; u_uninit = u })
+              loc (small (int_range 0 5)) bool))
+    in
+    let* routines =
+      list_repeat nroutines
+        (quad
+           (quad gen_name loc parent acs)
+           (quad typeref (oneofl [ "C++"; "C"; "fortran" ])
+              (oneofl [ "NA"; "ext"; "stat" ]) (oneofl [ "no"; "virt"; "pure" ]))
+           (quad (oneofl [ "NA"; "ctor"; "dtor"; "conv"; "op" ]) (triple bool bool bool)
+              (opt (id ntemplates)) extent)
+           (triple (small call) (small spawn) (small du_var)))
     in
     let routines =
       List.mapi
-        (fun i (n, l) ->
-          { P.ro_id = i + 1; ro_name = n; ro_loc = l; ro_parent = P.Pnone;
-            ro_acs = "pub"; ro_sig = P.Tyref 1; ro_link = "C++"; ro_store = "NA";
-            ro_virt = "no"; ro_kind = "NA"; ro_static = i mod 2 = 0;
-            ro_inline = false; ro_templ = None; ro_calls = []; ro_spawns = [];
-            ro_du = []; ro_pos = P.null_extent; ro_defined = i mod 3 = 0 })
-        routine_specs
+        (fun i ((n, l, p, a), (sg, link, store, virt), (k, (st, inl, def), templ, pos),
+                (calls, spawns, du)) ->
+          { P.ro_id = i + 1; ro_name = n; ro_loc = l; ro_parent = p; ro_acs = a;
+            ro_sig = sg; ro_link = link; ro_store = store; ro_virt = virt; ro_kind = k;
+            ro_static = st; ro_inline = inl; ro_templ = templ; ro_calls = calls;
+            ro_spawns = spawns; ro_du = du; ro_pos = pos; ro_defined = def })
+        routines
     in
+    let* macros =
+      list_repeat nmacros (quad gen_name (oneofl [ "def"; "undef" ]) text loc)
+    in
+    let macros =
+      List.mapi
+        (fun i (n, k, tx, l) ->
+          { P.ma_id = i + 1; ma_name = n; ma_kind = k; ma_text = tx; ma_loc = l })
+        macros
+    in
+    let* version = oneofl [ P.current_version; "1.0" ] in
+    let* diag = opt (int_range 0 50) in
     let pdb = P.create () in
+    pdb.P.version <- version;
+    (match diag with
+     | Some n -> pdb.P.incomplete <- true; pdb.P.diag_count <- n
+     | None -> ());
     pdb.P.files <- files;
+    pdb.P.namespaces <- namespaces;
+    pdb.P.templates <- templates;
     pdb.P.types <- types;
     pdb.P.classes <- classes;
     pdb.P.routines <- routines;
+    pdb.P.pdb_macros <- macros;
     return pdb)
 
 (* ------------------------------------------------------------------ *)
@@ -230,6 +397,19 @@ let prop_item_count =
       let s = W.to_string pdb in
       P.item_count (R.of_string s) = P.item_count pdb)
 
+(* The two containers agree on every generated PDB: the ASCII text
+   survives a trip through PDB-B byte for byte, and PDB-B decoding undoes
+   encoding exactly. *)
+let prop_binary_roundtrip =
+  QCheck.Test.make ~count:100 ~name:"random PDB ascii -> PDB-B -> ascii identical"
+    (QCheck.make gen_pdb) (fun pdb ->
+      let s = W.to_string pdb in
+      W.to_string (B.of_string (B.to_string (R.of_string s))) = s)
+
+let prop_binary_identity =
+  QCheck.Test.make ~count:100 ~name:"random PDB PDB-B decode . encode = id"
+    (QCheck.make gen_pdb) (fun pdb -> B.of_string (B.to_string pdb) = pdb)
+
 let suite =
   [ Alcotest.test_case "empty roundtrip" `Quick test_empty;
     Alcotest.test_case "stack roundtrip" `Quick test_stack_roundtrip;
@@ -246,4 +426,6 @@ let suite =
       test_interning_shares_names;
     QCheck_alcotest.to_alcotest prop_matches_reference;
     QCheck_alcotest.to_alcotest prop_roundtrip;
-    QCheck_alcotest.to_alcotest prop_item_count ]
+    QCheck_alcotest.to_alcotest prop_item_count;
+    QCheck_alcotest.to_alcotest prop_binary_roundtrip;
+    QCheck_alcotest.to_alcotest prop_binary_identity ]

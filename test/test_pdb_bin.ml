@@ -5,8 +5,10 @@
    so a container bug can never hide behind a lossy decode.  The binary
    goldens under test/golden/*.pdbb are derived mechanically from the
    ASCII goldens (parse the .pdb, encode with Pdb_bin) — they pin the
-   byte layout of format v1, so an accidental encoding change fails here
-   even when the round trip still closes.
+   byte layout of format v2, so an accidental encoding change fails here
+   even when the round trip still closes.  The format-v1 files under
+   test/golden/v1/ (with their 1.0 ASCII twins) are fixed fixtures for
+   the version-1 reader and are never regenerated.
 
    Regenerating after an intentional format change:
 
@@ -146,118 +148,62 @@ let test_ductape_index_equality () =
     golden_names
 
 (* ------------------------------------------------------------------ *)
-(* The zero-copy View agrees with the eager decoder                    *)
+(* The two-step View decodes what the one-step reader decodes          *)
 (* ------------------------------------------------------------------ *)
-
-let test_view_counts () =
-  List.iter
-    (fun name ->
-      let bin = produce_bin name in
-      let pdb = B.of_string bin in
-      let v = V.of_string bin in
-      Alcotest.(check string) (name ^ ": version") pdb.P.version (V.version v);
-      Alcotest.(check bool) (name ^ ": incomplete") pdb.P.incomplete (V.incomplete v);
-      Alcotest.(check int) (name ^ ": diag_count") pdb.P.diag_count (V.diag_count v);
-      Alcotest.(check int) (name ^ ": item_count") (P.item_count pdb) (V.item_count v);
-      let expect =
-        [ ("so", List.length pdb.P.files);
-          ("na", List.length pdb.P.namespaces);
-          ("te", List.length pdb.P.templates);
-          ("ro", List.length pdb.P.routines);
-          ("cl", List.length pdb.P.classes);
-          ("ty", List.length pdb.P.types);
-          ("ma", List.length pdb.P.pdb_macros) ]
-      in
-      List.iter
-        (fun (kind, n) ->
-          Alcotest.(check int) (name ^ ": " ^ kind ^ " count") n
-            (List.assoc kind (V.counts v)))
-        expect)
-    golden_names
-
-let test_view_by_id () =
-  List.iter
-    (fun name ->
-      let bin = produce_bin name in
-      let pdb = B.of_string bin in
-      let v = V.of_string bin in
-      List.iter
-        (fun (r : P.routine_item) ->
-          match V.routine_by_id v r.P.ro_id with
-          | Some r' ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%s: ro#%d decodes identically" name r.P.ro_id)
-                true (r = r')
-          | None ->
-              Alcotest.fail
-                (Printf.sprintf "%s: ro#%d missing from view" name r.P.ro_id))
-        pdb.P.routines;
-      List.iter
-        (fun (c : P.class_item) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: cl#%d decodes identically" name c.P.cl_id)
-            true (V.class_by_id v c.P.cl_id = Some c))
-        pdb.P.classes;
-      List.iter
-        (fun (f : P.source_file) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: so#%d decodes identically" name f.P.so_id)
-            true (V.file_by_id v f.P.so_id = Some f))
-        pdb.P.files;
-      (* a miss is None, not an exception *)
-      Alcotest.(check bool) (name ^ ": unknown id is None") true
-        (V.routine_by_id v 987654 = None))
-    golden_names
-
-let test_view_at_and_find () =
-  let bin = produce_bin "ministl" in
-  let pdb = B.of_string bin in
-  let v = V.of_string bin in
-  (* sequential record access enumerates exactly the eager lists *)
-  let all_at count at = List.init count at in
-  Alcotest.(check bool) "routine_at enumerates routines" true
-    (all_at (V.routine_count v) (V.routine_at v) = pdb.P.routines);
-  Alcotest.(check bool) "class_at enumerates classes" true
-    (all_at (V.class_count v) (V.class_at v) = pdb.P.classes);
-  Alcotest.(check bool) "type_at enumerates types" true
-    (all_at (V.type_count v) (V.type_at v) = pdb.P.types);
-  (* name resolution without decoding: agrees with an eager scan *)
-  (match V.find_routine v "main" with
-  | Some r ->
-      Alcotest.(check bool) "find_routine main" true
-        (Some r = List.find_opt (fun (r : P.routine_item) -> r.P.ro_name = "main") pdb.P.routines)
-  | None -> Alcotest.fail "ministl has a main");
-  (match V.find_class v "vector<int>" with
-  | Some c -> Alcotest.(check string) "find_class vector<int>" "vector<int>" c.P.cl_name
-  | None -> Alcotest.fail "ministl has a vector<int> instantiation");
-  (match V.find_template v "vector" with
-  | Some te -> Alcotest.(check string) "find_template vector" "vector" te.P.te_name
-  | None -> Alcotest.fail "ministl has a vector template");
-  Alcotest.(check bool) "find_routine miss is None" true
-    (V.find_routine v "no_such_routine_name" = None);
-  (* out-of-range record index raises the container's own error *)
-  (match V.routine_at v (V.routine_count v) with
-  | exception B.Format_error _ -> ()
-  | _ -> Alcotest.fail "out-of-range routine_at must raise Format_error")
 
 let test_view_to_pdb () =
   List.iter
     (fun name ->
       let ascii = golden_ascii name in
       let bin = B.to_string (Pdt_pdb.Pdb_parse.of_string ascii) in
-      Alcotest.(check string) (name ^ ": view to_pdb is lossless") ascii
-        (W.to_string (V.to_pdb (V.of_string bin))))
+      with_tmp_file bin (fun path ->
+          Alcotest.(check string) (name ^ ": view to_pdb is lossless") ascii
+            (W.to_string (V.to_pdb (V.of_file path)))))
     golden_names
+
+(* ------------------------------------------------------------------ *)
+(* Format v1: files written before the semantic attributes             *)
+(* ------------------------------------------------------------------ *)
+
+let v1_names = [ "fortran_demo"; "ministl"; "parallel_stencil"; "pooma_like"; "stack" ]
+
+let test_v1_fixtures () =
+  let dir = Filename.concat (Test_golden.golden_dir ()) "v1" in
+  List.iter
+    (fun name ->
+      let fixture ext = Test_golden.read_file (Filename.concat dir (name ^ ext)) in
+      let bin = fixture ".pdbb" in
+      Alcotest.(check int) (name ^ ": fixture is format v1") 1 (Char.code bin.[4]);
+      Alcotest.(check string) (name ^ ": v1 decode re-serializes to its 1.0 twin")
+        (fixture ".pdb") (W.to_string (B.of_string bin)))
+    v1_names
+
+(* ------------------------------------------------------------------ *)
+(* The writer refuses values it cannot store                            *)
+(* ------------------------------------------------------------------ *)
+
+let test_out_of_range_refused () =
+  List.iter
+    (fun (what, ascii) ->
+      let pdb = Pdt_pdb.Pdb_parse.of_string ascii in
+      match B.to_string pdb with
+      | exception B.Format_error _ -> ()
+      | bin ->
+          Alcotest.fail
+            (Printf.sprintf "%s: written without error, reads back as:\n%s" what
+               (W.to_string (B.of_string bin))))
+    [ ("line number above 2^31", "<PDB 1.1>\n\nro#1 f\nrloc so#1 3000000000 1\n");
+      ("template id equal to the none sentinel", "<PDB 1.1>\n\nro#1 f\nrtempl te#-1\n") ]
 
 (* ------------------------------------------------------------------ *)
 (* Malformed input: Format_error or a clean decode, never a crash      *)
 (* ------------------------------------------------------------------ *)
 
 let attempt what bytes =
-  (* both the eager decoder and the view must contain the damage *)
+  (* both the in-memory and the mapped reader must contain the damage *)
   let outcomes =
     [ (fun () -> ignore (B.of_string bytes));
-      (fun () -> ignore (V.of_string bytes)) ]
+      (fun () -> with_tmp_file bytes (fun path -> ignore (V.to_pdb (V.of_file path)))) ]
   in
   List.iter
     (fun f ->
@@ -336,8 +282,7 @@ let prop_bin_roundtrip =
       let merged = D.merge pdbs in
       let ascii = W.to_string merged in
       let bin = B.to_string merged in
-      W.to_string (B.of_string bin) = ascii
-      && W.to_string (V.to_pdb (V.of_string bin)) = ascii)
+      W.to_string (B.of_string bin) = ascii)
 
 let suite =
   List.map
@@ -350,12 +295,11 @@ let suite =
       Alcotest.test_case "mmap of_file" `Quick test_mmap_of_file;
       Alcotest.test_case "ductape index equality across containers" `Quick
         test_ductape_index_equality;
-      Alcotest.test_case "view: counts and header" `Quick test_view_counts;
-      Alcotest.test_case "view: by-id lookup equals eager decode" `Quick
-        test_view_by_id;
-      Alcotest.test_case "view: record access and name resolution" `Quick
-        test_view_at_and_find;
       Alcotest.test_case "view: to_pdb is lossless" `Quick test_view_to_pdb;
+      Alcotest.test_case "format v1 fixtures decode to their 1.0 twins" `Quick
+        test_v1_fixtures;
+      Alcotest.test_case "writer refuses out-of-range values" `Quick
+        test_out_of_range_refused;
       Alcotest.test_case "truncation sweep never crashes" `Quick
         test_truncation_sweep;
       Alcotest.test_case "bit-flip sweep never crashes" `Quick test_bitflip_sweep;
