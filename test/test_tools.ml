@@ -187,6 +187,55 @@ let test_incomplete_flag_survives_disk () =
   Alcotest.(check bool) "tree note after round-trip" true
     (Pdt_tools.Pdbtree.incomplete_note d <> None)
 
+(* ---------------- pdbstats pins ---------------- *)
+
+(* none of the corpus PDBs derives one class from another *)
+let inherit_pdb () =
+  let src =
+    "class A { public: int a; };\n\
+     class B : public A { public: A *peer; };\n\
+     class C : public B { public: virtual int f() { return 1; } };\n\
+     class E : public C, public A { public: int f() { return 2; } };\n\
+     int main() { E e; return e.f(); }"
+  in
+  Pdt_analyzer.Analyzer.run (Pdt.compile_string src).Pdt.program
+
+(* Pdbstats.summary_fields over the served corpus (the seven goldens and
+   the generated 32-TU project) and a small class hierarchy, in report
+   order: routines, defined, classes, instantiations, call_edges,
+   max_fan_out, max_fan_in, max_inheritance_depth, unreachable_from_main,
+   spawn_sites, du_vars, du_uses, uninit_uses, mhp_pairs; then the MD5 of
+   the full report text.  Recorded from the list-scanning summary, so a
+   faster one must reproduce every number and every report byte. *)
+let pinned_stats : (string * int list * string) list =
+  [ ("stack", [ 35; 12; 8; 2; 15; 7; 2; 0; 0; 0; 6; 8; 3; 0 ], "58234388e7bab756235153d5d5ea0065");
+    ("ministl", [ 28; 15; 4; 4; 20; 10; 3; 0; 0; 0; 13; 22; 6; 0 ], "8e562785400fb9f19c43f72ac5eaa2a0");
+    ("pooma_like", [ 46; 21; 6; 4; 67; 15; 6; 0; 0; 0; 53; 136; 0; 0 ], "771abbfa8287f570734b06a70640c7f3");
+    ("parallel_stencil", [ 33; 9; 4; 2; 30; 10; 3; 0; 0; 0; 20; 47; 0; 0 ], "2aca345b2535f93511111f5d2d5c3845");
+    ("fortran_demo", [ 7; 7; 2; 0; 5; 3; 2; 0; 7; 0; 0; 0; 0; 0 ], "30f22939c37201aacb33c7bc8ccb19c7");
+    ("duchain_demo", [ 3; 3; 0; 0; 2; 2; 1; 0; 0; 0; 8; 14; 1; 0 ], "f63910359f4c9609f9e319bc9a9ca334");
+    ("parallel_spawn", [ 5; 5; 0; 0; 6; 4; 2; 0; 0; 3; 7; 9; 0; 5 ], "60c000f7f12e35c7ac1c1329d1574db4");
+    ("project32", [ 269; 207; 28; 24; 848; 32; 16; 0; 0; 0; 354; 951; 376; 0 ], "62d297983c91a8de6dfbdcb1594cbe91");
+    ("inherit", [ 5; 5; 4; 0; 3; 3; 1; 3; 1; 0; 1; 1; 1; 0 ], "c8ba1a477ecb32962d98b649bb522607") ]
+
+let test_pdbstats_pinned () =
+  let actual =
+    List.map
+      (fun (name, pdb) ->
+        let d = D.index pdb in
+        ( name,
+          List.map snd (Pdt_tools.Pdbstats.summary_fields (Pdt_tools.Pdbstats.summary d)),
+          Digest.to_hex (Digest.string (Pdt_tools.Pdbstats.report d)) ))
+      (Test_golden.served_corpus () @ [ ("inherit", inherit_pdb ()) ])
+  in
+  let show (name, fields, md5) =
+    Printf.sprintf "(%S, [ %s ], %S)" name
+      (String.concat "; " (List.map string_of_int fields)) md5
+  in
+  if actual <> pinned_stats then
+    Alcotest.failf "pdbstats output changed; now:\n  [ %s ]"
+      (String.concat ";\n    " (List.map show actual))
+
 let suite =
   [ Alcotest.test_case "pdbconv sections" `Quick test_pdbconv_sections;
     Alcotest.test_case "pdbconv check clean" `Quick test_pdbconv_check_clean;
@@ -201,4 +250,5 @@ let suite =
       test_pdbstats_flags_incomplete;
     Alcotest.test_case "pdbtree incomplete note" `Quick test_pdbtree_incomplete_note;
     Alcotest.test_case "incomplete flag survives disk" `Quick
-      test_incomplete_flag_survives_disk ]
+      test_incomplete_flag_survives_disk;
+    Alcotest.test_case "pdbstats pinned over the corpus" `Quick test_pdbstats_pinned ]
