@@ -234,8 +234,22 @@ let templates t = t.pdb.P.templates
 let namespaces t = t.pdb.P.namespaces
 let macros t = t.pdb.P.pdb_macros
 
-let routine_full_name t r = P.routine_full_name t.pdb r
-let class_full_name t c = P.class_full_name t.pdb c
+(* Qualified names resolve each enclosing scope through the index's
+   tables; [Pdb.parent_prefix] would scan the class and namespace lists
+   once per scope. *)
+let rec parent_prefix t = function
+  | P.Pnone -> ""
+  | P.Pcl id -> (
+      match class_ t id with
+      | Some c -> parent_prefix t c.P.cl_parent ^ c.P.cl_name ^ "::"
+      | None -> "")
+  | P.Pna id -> (
+      match namespace t id with
+      | Some n -> parent_prefix t n.P.na_parent ^ n.P.na_name ^ "::"
+      | None -> "")
+
+let routine_full_name t (r : P.routine_item) = parent_prefix t r.P.ro_parent ^ r.P.ro_name
+let class_full_name t (c : P.class_item) = parent_prefix t c.P.cl_parent ^ c.P.cl_name
 let typeref_name t r = P.typeref_name t.pdb r
 
 (** Callees of a routine (the paper's [pdbRoutine::callees]). *)

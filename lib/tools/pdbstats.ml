@@ -47,13 +47,20 @@ type summary = {
 
 let dedup lst = List.sort_uniq compare lst
 
+(* distinct callees of [r] *)
+let fan_out (r : P.routine_item) : int =
+  List.length (dedup (List.map (fun (c : P.call) -> c.c_callee) r.ro_calls))
+
+(* distinct callers of [r] *)
+let fan_in (d : D.t) (r : P.routine_item) : int =
+  List.length (dedup (List.map (fun (x : P.routine_item) -> x.ro_id) (D.callers d r)))
+
 let routine_stats (d : D.t) : routine_stats list =
   List.map
     (fun (r : P.routine_item) ->
       { rs_name = D.routine_full_name d r;
-        rs_fan_out = List.length (dedup (List.map (fun (c : P.call) -> c.c_callee) r.ro_calls));
-        rs_fan_in =
-          List.length (dedup (List.map (fun (x : P.routine_item) -> x.ro_id) (D.callers d r)));
+        rs_fan_out = fan_out r;
+        rs_fan_in = fan_in d r;
         rs_defined = r.ro_defined })
     (D.routines d)
 
@@ -101,71 +108,50 @@ let class_stats (d : D.t) : class_stats list =
         cs_instantiation = c.P.cl_templ <> None })
     (D.classes d)
 
-(* routines reachable from main over call edges *)
-let reachable_from_main (d : D.t) : int list =
-  match
-    List.find_opt (fun (r : P.routine_item) -> r.P.ro_name = "main") (D.routines d)
-  with
-  | None -> []
-  | Some main ->
-      let seen = Hashtbl.create 64 in
-      let rec go (r : P.routine_item) =
-        if not (Hashtbl.mem seen r.P.ro_id) then begin
-          Hashtbl.replace seen r.P.ro_id ();
-          List.iter (fun (_, callee) -> go callee) (D.callees d r)
-        end
-      in
-      go main;
-      Hashtbl.fold (fun k () acc -> k :: acc) seen []
-
-let summary (d : D.t) : summary =
-  let rs = routine_stats d in
-  let cs = class_stats d in
-  let reach = reachable_from_main d in
-  let unreachable =
-    List.length
-      (List.filter
-         (fun (r : P.routine_item) ->
-           r.P.ro_defined && r.P.ro_name <> "main" && not (List.mem r.P.ro_id reach))
-         (D.routines d))
+(* ids of the routines reachable from main over call edges *)
+let reachable_from_main (d : D.t) : (int, unit) Hashtbl.t =
+  let seen = Hashtbl.create 64 in
+  let rec go (r : P.routine_item) =
+    if not (Hashtbl.mem seen r.P.ro_id) then begin
+      Hashtbl.replace seen r.P.ro_id ();
+      List.iter (fun (_, callee) -> go callee) (D.callees d r)
+    end
   in
-  { n_routines = List.length rs;
-    n_defined = List.length (List.filter (fun r -> r.rs_defined) rs);
-    n_classes = List.length cs;
-    n_instantiations = List.length (List.filter (fun c -> c.cs_instantiation) cs);
-    n_call_edges =
-      List.fold_left
-        (fun acc (r : P.routine_item) -> acc + List.length r.P.ro_calls)
-        0 (D.routines d);
-    max_fan_out = List.fold_left (fun a r -> max a r.rs_fan_out) 0 rs;
-    max_fan_in = List.fold_left (fun a r -> max a r.rs_fan_in) 0 rs;
-    max_inheritance_depth = List.fold_left (fun a c -> max a c.cs_depth) 0 cs;
-    unreachable_from_main = unreachable;
-    n_spawn_sites =
-      List.fold_left
-        (fun acc (r : P.routine_item) -> acc + List.length r.P.ro_spawns)
-        0 (D.routines d);
-    n_du_vars =
-      List.fold_left
-        (fun acc (r : P.routine_item) -> acc + List.length r.P.ro_du)
-        0 (D.routines d);
+  Option.iter go
+    (List.find_opt (fun (r : P.routine_item) -> r.P.ro_name = "main") (D.routines d));
+  seen
+
+(* One pass per count, straight over the item lists: no per-item record
+   or qualified name is built just to be counted. *)
+let summary (d : D.t) : summary =
+  let routines = D.routines d and classes = D.classes d in
+  let count p l = List.fold_left (fun n x -> if p x then n + 1 else n) 0 l in
+  let sum f l = List.fold_left (fun n x -> n + f x) 0 l in
+  let max_of f l = List.fold_left (fun m x -> max m (f x)) 0 l in
+  let reach = reachable_from_main d in
+  { n_routines = List.length routines;
+    n_defined = count (fun (r : P.routine_item) -> r.ro_defined) routines;
+    n_classes = List.length classes;
+    n_instantiations = count (fun (c : P.class_item) -> c.cl_templ <> None) classes;
+    n_call_edges = sum (fun (r : P.routine_item) -> List.length r.ro_calls) routines;
+    max_fan_out = max_of fan_out routines;
+    max_fan_in = max_of (fan_in d) routines;
+    max_inheritance_depth = max_of (inheritance_depth d []) classes;
+    unreachable_from_main =
+      count
+        (fun (r : P.routine_item) ->
+          r.ro_defined && r.ro_name <> "main" && not (Hashtbl.mem reach r.ro_id))
+        routines;
+    n_spawn_sites = sum (fun (r : P.routine_item) -> List.length r.ro_spawns) routines;
+    n_du_vars = sum (fun (r : P.routine_item) -> List.length r.ro_du) routines;
     n_du_uses =
-      List.fold_left
-        (fun acc (r : P.routine_item) ->
-          acc
-          + List.fold_left
-              (fun a (v : P.du_var) -> a + List.length v.P.v_uses)
-              0 r.P.ro_du)
-        0 (D.routines d);
+      sum (fun (r : P.routine_item) -> sum (fun (v : P.du_var) -> List.length v.v_uses) r.ro_du)
+        routines;
     n_uninit_uses =
-      List.fold_left
-        (fun acc (r : P.routine_item) ->
-          acc
-          + List.fold_left
-              (fun a (v : P.du_var) ->
-                a + List.length (List.filter (fun (u : P.du_use) -> u.P.u_uninit) v.P.v_uses))
-              0 r.P.ro_du)
-        0 (D.routines d);
+      sum
+        (fun (r : P.routine_item) ->
+          sum (fun (v : P.du_var) -> count (fun (u : P.du_use) -> u.u_uninit) v.v_uses) r.ro_du)
+        routines;
     n_mhp_pairs = List.length (Pdt_analyzer.Mhp.pairs (Pdt_analyzer.Mhp.compute (D.pdb d))) }
 
 (** The summary as labeled fields, in report order — the single source

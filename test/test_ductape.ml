@@ -153,6 +153,41 @@ let test_merge_idempotent () =
   Alcotest.(check int) "merge with self adds nothing" (P.item_count m1)
     (P.item_count m2)
 
+(* Qualified names resolve scopes through the index; they must spell
+   exactly what [Pdb]'s list-scanning resolver spells, nested scopes
+   included. *)
+let test_full_names_match_pdb () =
+  let nested =
+    "namespace outer { namespace inner {\n\
+     class Box { public:\n\
+       class Lid { public: int open() { return 1; } };\n\
+       int size() { return 2; }\n\
+     };\n\
+     int free_fn() { return 3; }\n\
+     } }\n\
+     int main() { outer::inner::Box b; outer::inner::Box::Lid l;\n\
+       return b.size() + l.open() + outer::inner::free_fn(); }"
+  in
+  let nested_pdb = Pdt_analyzer.Analyzer.run (Pdt.compile_string nested).Pdt.program in
+  let deepest = ref 0 in
+  List.iter
+    (fun (name, pdb) ->
+      let d = D.index pdb in
+      List.iter
+        (fun (r : P.routine_item) ->
+          let full = D.routine_full_name d r in
+          deepest := max !deepest (List.length (String.split_on_char ':' full));
+          Alcotest.(check string) (name ^ " routine") (P.routine_full_name pdb r) full)
+        pdb.P.routines;
+      List.iter
+        (fun (c : P.class_item) ->
+          Alcotest.(check string) (name ^ " class") (P.class_full_name pdb c)
+            (D.class_full_name d c))
+        pdb.P.classes)
+    (("nested", nested_pdb) :: Test_golden.served_corpus ());
+  (* outer::inner::Box::Lid::open splits into 9 pieces on ':' *)
+  Alcotest.(check bool) "a routine four scopes deep" true (!deepest >= 9)
+
 let suite =
   [ Alcotest.test_case "Figure 4 hierarchy predicates" `Quick test_hierarchy_predicates;
     Alcotest.test_case "template item list" `Quick test_template_item_list;
@@ -164,4 +199,5 @@ let suite =
     Alcotest.test_case "merge decl + def" `Quick test_merge_declaration_definition;
     Alcotest.test_case "merge reference consistency" `Quick test_merge_consistency;
     Alcotest.test_case "merge output roundtrips" `Quick test_merge_roundtrip;
-    Alcotest.test_case "merge idempotent" `Quick test_merge_idempotent ]
+    Alcotest.test_case "merge idempotent" `Quick test_merge_idempotent;
+    Alcotest.test_case "qualified names match Pdb" `Quick test_full_names_match_pdb ]

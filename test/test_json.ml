@@ -164,6 +164,136 @@ let test_escaped_output_reparses () =
     | Error e -> Alcotest.failf "byte %d failed: %s" code e
   done
 
+(* ---------------- printer vs. reference ---------------- *)
+
+(* The printer before its integer path and run-blitting escaper
+   ([Printf] per number, one closure call per character), kept as the
+   reference the current one must match byte for byte. *)
+module Ref = struct
+  let escape_to (b : Buffer.t) (s : string) : unit =
+    Buffer.add_char b '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.add_char b '"'
+
+  let num_to_string (f : float) : string =
+    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+    else
+      let s = Printf.sprintf "%.15g" f in
+      if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+  let rec write_to (b : Buffer.t) (j : J.t) : unit =
+    match j with
+    | J.Null -> Buffer.add_string b "null"
+    | J.Bool true -> Buffer.add_string b "true"
+    | J.Bool false -> Buffer.add_string b "false"
+    | J.Num f -> Buffer.add_string b (num_to_string f)
+    | J.Str s -> escape_to b s
+    | J.List l ->
+        Buffer.add_char b '[';
+        List.iteri
+          (fun i v ->
+            if i > 0 then Buffer.add_char b ',';
+            write_to b v)
+          l;
+        Buffer.add_char b ']'
+    | J.Obj kvs ->
+        Buffer.add_char b '{';
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Buffer.add_char b ',';
+            escape_to b k;
+            Buffer.add_char b ':';
+            write_to b v)
+          kvs;
+        Buffer.add_char b '}'
+
+  let to_string j =
+    let b = Buffer.create 256 in
+    write_to b j;
+    Buffer.contents b
+end
+
+(* the same number, sign of zero included *)
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let rec same_json a b =
+  match (a, b) with
+  | J.Num x, J.Num y -> same_float x y
+  | J.List xs, J.List ys -> List.equal same_json xs ys
+  | J.Obj xs, J.Obj ys ->
+      List.equal (fun (k, x) (l, y) -> k = l && same_json x y) xs ys
+  | a, b -> a = b
+
+let check_against_ref ~what (v : J.t) =
+  let fast = J.to_string v in
+  let slow = Ref.to_string v in
+  if fast <> slow then Alcotest.failf "%s: printed %S, reference %S" what fast slow;
+  match J.parse fast with
+  | Ok v' when same_json v v' -> ()
+  | Ok v' -> Alcotest.failf "%s: %S reparsed as %S" what fast (Ref.to_string v')
+  | Error e -> Alcotest.failf "%s: %S does not parse: %s" what fast e
+
+let test_numbers_match_reference () =
+  let st = Random.State.make [| 20 |] in
+  let edges =
+    [ 0.; -0.; 1.; -1.; 9.; 10.; -10.; 1e15; -1e15; 1e15 -. 1.; -.(1e15 -. 1.);
+      1e15 -. 0.125; 1e15 +. 2.; 999999999999999.; 4503599627370496.;
+      2.5; -2.5; 0.1; 1e-300; 5e-324; 1e300; Float.max_float; -0.5;
+      123456789.125; 1e14 +. 0.5 ]
+  in
+  let integral () =
+    let f = Float.round (Random.State.float st 1e15) in
+    let f = Float.min f (1e15 -. 1.) in
+    (* spread the magnitudes: most wire numbers are small *)
+    let f = Float.round (f /. (10. ** float_of_int (Random.State.int st 15))) in
+    if Random.State.bool st then -.f else f
+  in
+  let fractional () =
+    let f = Random.State.float st 2e6 -. 1e6 in
+    if Float.is_integer f then f +. 0.5 else f
+  in
+  let floats =
+    edges @ List.init 4000 (fun _ -> integral ()) @ List.init 1000 (fun _ -> fractional ())
+  in
+  List.iter (fun f -> check_against_ref ~what:(Printf.sprintf "%h" f) (J.Num f)) floats;
+  (* non-finite numbers are not JSON, but still print as before *)
+  List.iter
+    (fun f ->
+      Alcotest.(check string) (Printf.sprintf "%h" f) (Ref.to_string (J.Num f))
+        (J.to_string (J.Num f)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+let test_strings_match_reference () =
+  let st = Random.State.make [| 21 |] in
+  let byte () =
+    match Random.State.int st 6 with
+    | 0 -> '"'
+    | 1 -> '\\'
+    | 2 -> Char.chr (Random.State.int st 0x20)
+    | 3 -> Char.chr (0x80 + Random.State.int st 0x80)
+    | _ -> Char.chr (0x20 + Random.State.int st 0x60)
+  in
+  let random_string () = String.init (Random.State.int st 48) (fun _ -> byte ()) in
+  for i = 0 to 2999 do
+    let s = random_string () in
+    check_against_ref ~what:(Printf.sprintf "string %d" i) (J.Str s);
+    check_against_ref ~what:(Printf.sprintf "key %d" i)
+      (J.Obj [ (s, J.List [ J.Str s; J.Num (float_of_int i) ]); ("k", J.Null) ])
+  done;
+  check_against_ref ~what:"empty" (J.Str "");
+  check_against_ref ~what:"every byte" (J.Str (String.init 256 Char.chr))
+
 let suite =
   [ Alcotest.test_case "unicode escape basics" `Quick test_unicode_escape_basic;
     Alcotest.test_case "\\u needs exactly 4 hex digits" `Quick
@@ -181,4 +311,8 @@ let suite =
     Alcotest.test_case "print/parse round-trip" `Quick
       test_print_parse_roundtrip;
     Alcotest.test_case "all bytes escape+reparse" `Quick
-      test_escaped_output_reparses ]
+      test_escaped_output_reparses;
+    Alcotest.test_case "numbers print as the reference printer" `Quick
+      test_numbers_match_reference;
+    Alcotest.test_case "strings print as the reference printer" `Quick
+      test_strings_match_reference ]
